@@ -1,0 +1,58 @@
+// Counting global operator new, linked into the benchmark binary only:
+// every heap allocation the node (or the benchmark) makes bumps one
+// relaxed counter, which the traced run turns into heap allocations per
+// frame. Deletes are forwarded unchanged.
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "alloc_count.hpp"
+
+namespace perfbench {
+namespace {
+std::atomic<std::uint64_t> g_new_calls{0};
+
+void* counted_alloc(std::size_t size) {
+  g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t a = static_cast<std::size_t>(align);
+  const std::size_t rounded = (size + a - 1) / a * a;
+  if (void* p = std::aligned_alloc(a, rounded == 0 ? a : rounded)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+std::uint64_t heap_new_calls() {
+  return g_new_calls.load(std::memory_order_relaxed);
+}
+
+}  // namespace perfbench
+
+void* operator new(std::size_t size) { return perfbench::counted_alloc(size); }
+void* operator new[](std::size_t size) {
+  return perfbench::counted_alloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  return perfbench::counted_aligned_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return perfbench::counted_aligned_alloc(size, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
