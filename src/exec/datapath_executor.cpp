@@ -202,7 +202,8 @@ void DatapathExecutor::ring_doorbell(std::size_t worker) {
 }
 
 std::size_t DatapathExecutor::drain_ring(WorkerContext& ctx,
-                                         SpscRing<WorkItem>& ring) {
+                                         SpscRing<WorkItem>& ring,
+                                         bool from_handoff) {
   std::vector<WorkItem> items;
   items.reserve(config_.drain_batch);
   if (ring.pop_batch(items, config_.drain_batch) == 0) return 0;
@@ -221,6 +222,11 @@ std::size_t DatapathExecutor::drain_ring(WorkerContext& ctx,
     pipeline_(ctx, items[begin].tag, std::move(group));
     begin = end;
   }
+  // Counted before inflight_ drops: drain() acquires inflight_ == 0, so
+  // once it returns every frame it waited for is also in the stats.
+  LiveStats& stats = workers_[ctx.index()]->stats;
+  stats.processed += processed;
+  if (from_handoff) stats.handoff_in += processed;
   inflight_.fetch_sub(processed, std::memory_order_release);
   return processed;
 }
@@ -250,12 +256,10 @@ void DatapathExecutor::run_worker(std::size_t index,
 
   auto drain_all = [&]() -> std::size_t {
     if (superseded()) return 0;
-    std::size_t processed = drain_ring(ctx, *self.ingress);
+    std::size_t processed = drain_ring(ctx, *self.ingress, false);
     for (std::size_t from = 0; from < worker_count(); ++from) {
       if (superseded()) return processed;
-      const std::size_t n = drain_ring(ctx, *self.handoff[from]);
-      self.stats.handoff_in += n;
-      processed += n;
+      processed += drain_ring(ctx, *self.handoff[from], true);
     }
     return processed;
   };
@@ -274,7 +278,6 @@ void DatapathExecutor::run_worker(std::size_t index,
     }
     const std::size_t processed = drain_all();
     if (processed > 0) {
-      self.stats.processed += processed;
       idle_spins = 0;
       continue;
     }
@@ -304,11 +307,8 @@ void DatapathExecutor::run_worker(std::size_t index,
   }
   if (superseded()) return;  // the new generation owns the rings
   // Final drain so stop() never strands frames in rings.
-  std::size_t processed;
-  do {
-    processed = drain_all();
-    self.stats.processed += processed;
-  } while (processed > 0);
+  while (drain_all() > 0) {
+  }
 }
 
 void DatapathExecutor::note_stall(std::size_t worker) {

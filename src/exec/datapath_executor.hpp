@@ -229,9 +229,11 @@ class DatapathExecutor {
 
   void run_worker(std::size_t index, std::uint32_t my_generation);
   /// Drains up to drain_batch items from `ring`, runs the pipeline on
-  /// them grouped by tag, and credits `stats_processed`. Returns the
-  /// number of frames processed.
-  std::size_t drain_ring(WorkerContext& ctx, SpscRing<WorkItem>& ring);
+  /// them grouped by tag, and credits the worker's `processed` (and
+  /// `handoff_in` for a handoff ring) before releasing them from
+  /// inflight_. Returns the number of frames processed.
+  std::size_t drain_ring(WorkerContext& ctx, SpscRing<WorkItem>& ring,
+                         bool from_handoff);
   void ring_doorbell(std::size_t worker);
   bool push_handoff(std::size_t from, std::size_t to, std::uint32_t tag,
                     packet::PacketBuffer&& frame);

@@ -47,26 +47,11 @@ bool AdaptationLayer::remark_output(ContextId ctx, NfOutput& output) {
 
 void AdaptationLayer::receive(sim::SimTime now,
                               packet::PacketBuffer&& frame) {
-  ++stats_.in_frames;
-  auto eth = packet::parse_ethernet(frame.data());
-  if (!eth || !eth->vlan.has_value()) {
-    ++stats_.untagged;
-    return;
-  }
-  auto binding = by_mark_.find(*eth->vlan);
-  if (binding == by_mark_.end()) {
-    ++stats_.unmapped_in;
-    return;
-  }
-  const auto [ctx, port] = binding->second;
-  packet::set_vlan(frame, std::nullopt);  // present the NF untagged traffic
-
-  std::vector<NfOutput> outputs = nf_.process(ctx, port, now,
-                                              std::move(frame));
-  for (NfOutput& output : outputs) {
-    if (!remark_output(ctx, output)) continue;
-    if (tx_) tx_(std::move(output.frame));
-  }
+  // Burst-of-1 over the one ingress contract: the mark demux and the NF
+  // call live in receive_burst only.
+  packet::PacketBurst single;
+  single.push_back(std::move(frame));
+  receive_burst(now, std::move(single));
 }
 
 void AdaptationLayer::receive_burst(sim::SimTime now,

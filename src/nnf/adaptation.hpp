@@ -39,8 +39,7 @@ class AdaptationLayer {
   explicit AdaptationLayer(NetworkFunction& nf) : nf_(nf) {}
 
   void set_transmit(Transmit tx) { tx_ = std::move(tx); }
-  /// Preferred by receive_burst when set; receive() keeps using the
-  /// per-frame transmit.
+  /// Preferred over the per-frame transmit when set.
   void set_burst_transmit(BurstTransmit tx) { burst_tx_ = std::move(tx); }
 
   /// Binds `mark` to (ctx, port) in both directions.
@@ -51,7 +50,8 @@ class AdaptationLayer {
 
   [[nodiscard]] std::size_t binding_count() const { return by_mark_.size(); }
 
-  /// Frame arriving from the switch (must carry a bound mark).
+  /// Frame arriving from the switch (must carry a bound mark): a burst
+  /// of one through receive_burst.
   void receive(sim::SimTime now, packet::PacketBuffer&& frame);
 
   /// Burst arriving from the switch. Frames are demultiplexed on their

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <mutex>
+#include <utility>
 
+#include "crypto/backend.hpp"
 #include "crypto/cipher_modes.hpp"
 #include "crypto/hmac.hpp"
 #include "exec/priority.hpp"
@@ -86,16 +88,16 @@ std::array<std::uint8_t, 16> derive_iv(const crypto::Aes& aes,
 }
 
 /// RFC 4304 Appendix A seq-hi recovery: given the 32-bit seq-lo off the
-/// wire and the highest authenticated sequence (replay_top), infer the
-/// high half that places the packet inside or above the replay window.
-/// The result feeds the integrity check, so a wrong inference (a seq-lo
-/// replayed from another 2^32 cycle) fails authentication rather than
-/// advancing the window — recovery itself never trusts the wire.
-std::uint64_t esn_recover_seq(const SecurityAssociation& sa,
-                              std::uint32_t seql) {
+/// wire and the highest authenticated sequence (the replay window's
+/// `top`), infer the high half that places the packet inside or above
+/// the window. The result feeds the integrity check, so a wrong
+/// inference (a seq-lo replayed from another 2^32 cycle) fails
+/// authentication rather than advancing the window — recovery itself
+/// never trusts the wire.
+std::uint64_t esn_recover_seq(std::uint64_t top, std::uint32_t seql) {
   constexpr std::uint32_t kWindow = IpsecEndpoint::kReplayWindow;
-  const auto tl = static_cast<std::uint32_t>(sa.replay_top);
-  const auto th = static_cast<std::uint32_t>(sa.replay_top >> 32);
+  const auto tl = static_cast<std::uint32_t>(top);
+  const auto th = static_cast<std::uint32_t>(top >> 32);
   std::uint32_t seqh;
   if (tl >= kWindow - 1) {
     // Window lies within one seq-lo cycle: a seq-lo below the window's
@@ -138,6 +140,51 @@ void gcm_nonce(const SecurityAssociation& sa,
                std::uint8_t nonce[crypto::GcmContext::kIvSize]) {
   util::store_be32(nonce, util::load_be32(salt.data()) ^ sa.spi);
   std::memcpy(nonce + 4, iv, 8);
+}
+
+/// HMAC-SHA256-128 ICV input (RFC 4303 §2.8): ESP header | IV |
+/// ciphertext, from the cached ipad midstate; with ESN the 32-bit seq-hi
+/// is appended to the authenticated data but never transmitted (RFC 4303
+/// §2.2.1). The first kIcvSize bytes of the result are the ICV.
+std::array<std::uint8_t, crypto::HmacSha256::kDigestSize> cbc_icv(
+    const crypto::HmacSha256& tmpl, std::span<const std::uint8_t> authed,
+    const SecurityAssociation& sa, std::uint64_t seq) {
+  crypto::HmacSha256 hmac = tmpl;
+  hmac.update(authed);
+  if (sa.esn) {
+    std::uint8_t hi[4];
+    util::store_be32(hi, static_cast<std::uint32_t>(seq >> 32));
+    hmac.update(hi);
+  }
+  return hmac.final();
+}
+
+/// What the pipeline needs to know about a transform's wire layout.
+struct EspLayout {
+  std::size_t iv_size;
+  std::size_t icv_size;
+  std::size_t pad_align;  ///< (payload | pad_len | next_header) alignment
+  std::size_t min_ct;     ///< smallest well-formed ciphertext
+};
+
+/// Indexed by EspTransform. GCM is a stream mode, so its trailer only
+/// needs RFC 4303's 4-byte alignment; CBC works in whole AES blocks.
+constexpr EspLayout kEspLayouts[] = {
+    {IpsecEndpoint::kGcmIvSize, IpsecEndpoint::kGcmIcvSize, 4, 2},
+    {IpsecEndpoint::kIvSize, IpsecEndpoint::kIcvSize, crypto::Aes::kBlockSize,
+     crypto::Aes::kBlockSize},
+};
+
+static_assert(static_cast<int>(EspTransform::kGcm) == 0 &&
+              static_cast<int>(EspTransform::kCbcHmac) == 1);
+
+const EspLayout& esp_layout(EspTransform transform) {
+  return kEspLayouts[static_cast<std::size_t>(transform)];
+}
+
+bool has_volume_lifetime(const SaLifetime& lt) {
+  return lt.soft_packets != 0 || lt.hard_packets != 0 || lt.soft_bytes != 0 ||
+         lt.hard_bytes != 0;
 }
 
 bool soft_expired(const SaLifetime& lt, const SecurityAssociation& sa) {
@@ -497,10 +544,7 @@ bool IpsecEndpoint::fast_path_ok(const Tunnel& tunnel, NfPortIndex in_port,
                                  std::size_t frames) {
   if (tunnel.staged || tunnel.draining) return false;
   const SaLifetime& lt = tunnel.lifetime;
-  if (lt.soft_packets != 0 || lt.hard_packets != 0 || lt.soft_bytes != 0 ||
-      lt.hard_bytes != 0) {
-    return false;
-  }
+  if (has_volume_lifetime(lt)) return false;
   if (in_port == 0) {
     const SecurityAssociation& sa = tunnel.out_sa;
     if (sa.state != SaState::kActive) return false;
@@ -521,72 +565,80 @@ std::vector<NfOutput> IpsecEndpoint::process(ContextId ctx,
                                              NfPortIndex in_port,
                                              sim::SimTime now,
                                              packet::PacketBuffer&& frame) {
+  // A burst of one through the same pipeline.
   std::vector<NfOutput> out;
+  run(ctx, in_port, now, {&frame, 1}, out);
+  return out;
+}
+
+std::vector<NfOutput> IpsecEndpoint::process_burst(
+    ContextId ctx, NfPortIndex in_port, sim::SimTime now,
+    packet::PacketBurst&& burst) {
+  std::vector<NfOutput> out;
+  run(ctx, in_port, now, burst, out);
+  burst.clear();
+  return out;
+}
+
+void IpsecEndpoint::run(ContextId ctx, NfPortIndex in_port, sim::SimTime now,
+                        std::span<packet::PacketBuffer> frames,
+                        std::vector<NfOutput>& out) {
+  if (frames.empty()) return;
+  const std::size_t slot = exec::current_worker_slot();
   {
-    // Steady-state fast path under the shared lock: counters are
-    // atomic, the replay window is single-writer (RSS pins a SPI's
-    // ingress to one worker), and fast_path_ok guarantees no lifecycle
-    // transition can trigger for this packet.
+    // Steady-state fast path for the whole burst under the shared lock:
+    // counters are atomic, a replay window is written only by its owner
+    // slot, and fast_path_ok is sized by the burst so no frame inside it
+    // can trip a lifecycle transition.
     std::shared_lock<std::shared_mutex> lock(mutex_);
     if (!has_context(ctx) || in_port >= 2) {
-      ++stats_shard().malformed;
-      return out;
+      stats_shard().malformed += frames.size();
+      return;
     }
     auto it = tunnels_.find(ctx);
     if (it == tunnels_.end() || !it->second.configured) {
-      ++stats_shard().no_sa;
-      return out;
+      stats_shard().no_sa += frames.size();
+      return;
     }
     Tunnel& tunnel = it->second;
-    if (fast_path_ok(tunnel, in_port, 1)) {
+    if (fast_path_ok(tunnel, in_port, frames.size())) {
+      out.reserve(frames.size());
       if (in_port == 0) {
-        return tunnel.transform == EspTransform::kGcm
-                   ? encapsulate_gcm(tunnel, tunnel.out_sa, std::move(frame))
-                   : encapsulate_cbc(tunnel, tunnel.out_sa, std::move(frame));
+        encap(ctx, tunnel, now, frames, false, out);
+        return;
       }
-      return decapsulate(ctx, tunnel, std::move(frame));
+      const std::size_t owner = tunnel.in_sa.replay_owner;
+      if (owner == slot) {
+        decap(ctx, tunnel, frames, false, out);
+        return;
+      }
+      // The window belongs to another slot (or to none yet); ownership
+      // only changes hands under the exclusive lock below.
+      if (owner != SecurityAssociation::kNoOwner) {
+        stats_shard().cross_slot_frames += frames.size();
+      }
     }
   }
-  // Lifecycle path (staged/draining generations, lifetimes, hard
-  // stops): exclusive lock, exact single-threaded semantics.
+  // Lifecycle path (staged/draining generations, lifetimes, hard stops,
+  // replay-window handover): exclusive lock, exact single-threaded
+  // semantics.
   std::unique_lock<std::shared_mutex> lock(mutex_);
   auto it = tunnels_.find(ctx);
   if (it == tunnels_.end() || !it->second.configured) {
-    ++stats_shard().no_sa;
-    return out;
+    stats_shard().no_sa += frames.size();
+    return;
   }
-  expire_draining(ctx, it->second, now);
+  Tunnel& tunnel = it->second;
+  // The drain deadline cannot re-arm mid-burst (a cutover inside the
+  // burst sets a deadline >= now), so one sweep covers every frame.
+  expire_draining(ctx, tunnel, now);
+  out.reserve(frames.size());
   if (in_port == 0) {
-    return encapsulate(ctx, it->second, now, std::move(frame));
+    encap(ctx, tunnel, now, frames, true, out);
+    return;
   }
-  return decapsulate(ctx, it->second, std::move(frame));
-}
-
-std::vector<NfOutput> IpsecEndpoint::encapsulate(
-    ContextId ctx, Tunnel& tunnel, sim::SimTime now,
-    packet::PacketBuffer&& frame) {
-  SecurityAssociation* sa = outbound_gate(ctx, tunnel, now);
-  if (sa == nullptr) return {};
-  return tunnel.transform == EspTransform::kGcm
-             ? encapsulate_gcm(tunnel, *sa, std::move(frame))
-             : encapsulate_cbc(tunnel, *sa, std::move(frame));
-}
-
-std::vector<NfOutput> IpsecEndpoint::decapsulate(
-    ContextId ctx, Tunnel& tunnel, packet::PacketBuffer&& frame) {
-  const std::size_t min_esp_payload =
-      tunnel.transform == EspTransform::kGcm
-          ? packet::kEspHeaderSize + kGcmIvSize + 2 + kGcmIcvSize
-          : packet::kEspHeaderSize + kIvSize + crypto::Aes::kBlockSize +
-                kIcvSize;
-  // Decryption happens in place over the ciphertext region, so the
-  // ingress spans must point into a privately owned segment.
-  frame.unshare();
-  auto ingress = parse_esp_ingress(ctx, tunnel, frame, min_esp_payload);
-  if (!ingress) return {};
-  return tunnel.transform == EspTransform::kGcm
-             ? decapsulate_gcm(tunnel, *ingress, std::move(frame))
-             : decapsulate_cbc(tunnel, *ingress, std::move(frame));
+  tunnel.in_sa.replay_owner = slot;
+  decap(ctx, tunnel, frames, true, out);
 }
 
 std::optional<std::span<const std::uint8_t>> IpsecEndpoint::parse_inner_ipv4(
@@ -674,48 +726,35 @@ std::optional<IpsecEndpoint::EspIngress> IpsecEndpoint::parse_esp_ingress(
     ++stats_shard().no_sa;
     return std::nullopt;
   }
-  SecurityAssociation* sa = nullptr;
-  Keymat* keymat = nullptr;
+  EspIngress ingress{esp_area,
+                     static_cast<std::size_t>(esp_area.data() -
+                                              frame.data().data()),
+                     esp->sequence};
   switch (sad_it->second) {
     case SadSlot::kCurrent:
-      sa = &tunnel.in_sa;
-      keymat = tunnel.keymat.get();
+      ingress.sa = &tunnel.in_sa;
+      ingress.keymat = tunnel.keymat.get();
       break;
     case SadSlot::kStaged:
-      sa = &tunnel.staged->in_sa;
-      keymat = tunnel.staged->keymat.get();
+      ingress.sa = &tunnel.staged->in_sa;
+      ingress.keymat = tunnel.staged->keymat.get();
       break;
     case SadSlot::kDraining:
-      sa = &tunnel.draining->sa;
-      keymat = tunnel.draining->keymat.get();
+      ingress.sa = &tunnel.draining->sa;
+      ingress.keymat = tunnel.draining->keymat.get();
       break;
   }
-  if (sa->state == SaState::kDead ||
-      hard_expired(tunnel.lifetime, *sa)) {
-    sa->state = SaState::kDead;
-    ++sa->lifetime_drops;
-    ++stats_shard().lifetime_drops;
-    return std::nullopt;
-  }
-  // One recovery per packet: the 64-bit sequence inferred here is reused
-  // for the AAD/ICV input and the replay update by every caller (single
-  // and burst paths alike).
-  const std::uint64_t seq =
-      sa->esn ? esn_recover_seq(*sa, esp->sequence) : esp->sequence;
-  const std::size_t esp_off =
-      static_cast<std::size_t>(esp_area.data() - frame.data().data());
-  return EspIngress{esp_area, esp_off, seq, sa, keymat};
+  return ingress;
 }
 
-std::vector<NfOutput> IpsecEndpoint::emit_inner(
-    const Tunnel& tunnel, SecurityAssociation& sa,
-    packet::PacketBuffer&& inner) {
-  std::vector<NfOutput> out;
+void IpsecEndpoint::emit_inner(const Tunnel& tunnel, SecurityAssociation& sa,
+                               packet::PacketBuffer&& inner,
+                               std::vector<NfOutput>& out) {
   const auto plaintext = inner.data();
   if (plaintext.size() < 2) {
     ++sa.malformed;
     ++stats_shard().malformed;
-    return out;
+    return;
   }
   const std::uint8_t next_header = plaintext.back();
   const std::uint8_t pad_len = plaintext[plaintext.size() - 2];
@@ -724,7 +763,7 @@ std::vector<NfOutput> IpsecEndpoint::emit_inner(
   if (next_header != 4 || plaintext.size() < 2u + pad_len) {
     ++sa.malformed;
     ++stats_shard().malformed;
-    return out;
+    return;
   }
   // Validate the monotonic pad bytes (cheap corruption check).
   for (std::size_t i = 0; i < pad_len; ++i) {
@@ -732,7 +771,7 @@ std::vector<NfOutput> IpsecEndpoint::emit_inner(
     if (plaintext[idx] != i + 1) {
       ++sa.malformed;
       ++stats_shard().malformed;
-      return out;
+      return;
     }
   }
   // Strip the trailer and rebuild the Ethernet header in the headroom
@@ -749,478 +788,292 @@ std::vector<NfOutput> IpsecEndpoint::emit_inner(
   sa.bytes += inner.size();
   ++stats_shard().decapsulated;
   out.push_back(NfOutput{0, std::move(inner)});
-  return out;
 }
 
-std::vector<NfOutput> IpsecEndpoint::encapsulate_cbc(
-    Tunnel& tunnel, SecurityAssociation& sa, packet::PacketBuffer&& frame) {
-  std::vector<NfOutput> out;
-  // The frame is rebuilt in place; a flooded replica goes private first.
-  frame.unshare();
-  auto inner = parse_inner_ipv4(frame);
-  if (!inner) return out;
+// Wire format of both transforms: Eth | outer IPv4 | ESP (SPI, seq-lo) |
+// IV | ciphertext | ICV, with the ESP trailer (pad 1,2,3..., pad_len,
+// next_header) inside the ciphertext.
+//
+//   gcm       RFC 4106 shape. IV(8) is the 64-bit sequence counter; the
+//             nonce is (salt ^ SPI)(4) || IV(8) — a deliberate deviation
+//             from RFC 4106's plain salt||IV, needed because both
+//             directions share one enc_key here (see gcm_nonce(); a
+//             conforming peer with per-SA keymat would not
+//             interoperate). AAD is the ESP header, widened by seq-hi
+//             under ESN. ICV(16) is the full tag.
+//   cbc-hmac  RFC 3602 + 4868. IV(16) is derive_iv(SPI, seq); ICV(16)
+//             is HMAC-SHA256-128 over ESP header | IV | ciphertext.
+void IpsecEndpoint::encap(ContextId ctx, Tunnel& tunnel, sim::SimTime now,
+                          std::span<packet::PacketBuffer> frames,
+                          bool lifecycle, std::vector<NfOutput>& out) {
+  const EspLayout& layout = esp_layout(tunnel.transform);
+  EspBatch batch;
+  for (packet::PacketBuffer& frame : frames) {
+    SecurityAssociation* sa = &tunnel.out_sa;
+    if (lifecycle) {
+      // The gate reads packet/byte usage the pending lanes only account
+      // at emit, and a cutover swaps the SA and keymat they point at:
+      // land them first whenever either can matter.
+      if (batch.size > 0 &&
+          (tunnel.staged || has_volume_lifetime(tunnel.lifetime))) {
+        flush_encap(tunnel, batch, out);
+      }
+      sa = outbound_gate(ctx, tunnel, now);
+      if (sa == nullptr) continue;
+    }
+    // Gather. Headroom prepend + trailer append rebuild the frame where
+    // it sits; a flooded replica must go private first.
+    frame.unshare();
+    auto inner = parse_inner_ipv4(frame);
+    if (!inner) continue;
+    EspLane& lane = batch.lanes[batch.size];
+    lane.sa = sa;
+    // Claim this packet's sequence number atomically: workers sharing
+    // the SA each get a unique value, in frame order within the burst.
+    lane.seq = ++sa->seq;
+    lane.inner_size = inner->size();
 
-  // Claim this packet's sequence number atomically: workers sharing the
-  // SA each get a unique value.
-  const std::uint64_t seq = ++sa.seq;
-  const std::size_t inner_size = inner->size();
+    // Reduce the view to the inner IP packet: drop the red-side Ethernet
+    // header and any Ethernet padding past total_length — pure offset
+    // adjustments on the pooled segment, the payload never moves.
+    frame.pull_front(
+        static_cast<std::size_t>(inner->data() - frame.data().data()));
+    frame.trim(lane.inner_size);
 
-  // ESP trailer: pad so (inner + pad + 2) is a multiple of the block size;
-  // pad bytes are 1,2,3,... (RFC 4303 §2.4).
-  const std::size_t block = crypto::Aes::kBlockSize;
-  const std::size_t pad = (block - (inner_size + 2) % block) % block;
-  std::vector<std::uint8_t> plaintext(inner->begin(), inner->end());
-  for (std::size_t i = 1; i <= pad; ++i) {
-    plaintext.push_back(static_cast<std::uint8_t>(i));
+    // ESP trailer into the tailroom: pad so (payload | pad_len |
+    // next_header) meets the transform's alignment.
+    const std::size_t align = layout.pad_align;
+    const std::size_t pad = (align - (lane.inner_size + 2) % align) % align;
+    std::uint8_t* trailer = frame.push_back(pad + 2).data();
+    for (std::size_t i = 1; i <= pad; ++i) {
+      trailer[i - 1] = static_cast<std::uint8_t>(i);
+    }
+    trailer[pad] = static_cast<std::uint8_t>(pad);
+    trailer[pad + 1] = 4;  // next header: IPv4 (tunnel mode)
+    lane.ct_len = lane.inner_size + pad + 2;
+
+    // Claim the headroom for Eth | outer IPv4 | ESP | IV (the red-side
+    // Ethernet header plus default headroom always covers it) and the
+    // tailroom for the ICV; the payload now sits where the crypt step
+    // encrypts it in place.
+    lane.esp_off = kEspOffset;
+    lane.ct_off = kEspOffset + packet::kEspHeaderSize + layout.iv_size;
+    frame.push_front(lane.ct_off);
+    frame.push_back(layout.icv_size);
+    write_outer_headers(tunnel, *sa, lane.seq,
+                        packet::kEspHeaderSize + layout.iv_size +
+                            lane.ct_len + layout.icv_size,
+                        frame.data());
+    lane.frame = std::move(frame);
+    batch.keymat = tunnel.keymat.get();
+    if (++batch.size == batch.lanes.size()) flush_encap(tunnel, batch, out);
   }
-  plaintext.push_back(static_cast<std::uint8_t>(pad));
-  plaintext.push_back(4);  // next header: IPv4 (tunnel mode)
-
-  Keymat& keymat = *tunnel.keymat;
-  const auto iv = derive_iv(*keymat.cipher, sa.spi, seq);
-  auto ciphertext = crypto::aes_cbc_encrypt_raw(*keymat.cipher, iv, plaintext);
-  if (!ciphertext) {
-    ++stats_shard().malformed;
-    return out;
-  }
-
-  // Reassemble Eth | outer IPv4 | ESP | IV | ciphertext | ICV into the
-  // input frame's own segment (inner bytes were staged into `plaintext`
-  // above — CBC is not length-preserving in place the way GCM is).
-  const std::size_t esp_payload =
-      packet::kEspHeaderSize + kIvSize + ciphertext->size() + kIcvSize;
-  frame.reset();
-  auto buf = frame.push_back(kEspOffset + esp_payload);
-  write_outer_headers(tunnel, sa, seq, esp_payload, buf);
-  std::memcpy(buf.data() + kEspOffset + packet::kEspHeaderSize, iv.data(),
-              kIvSize);
-  std::memcpy(buf.data() + kEspOffset + packet::kEspHeaderSize + kIvSize,
-              ciphertext->data(), ciphertext->size());
-
-  // ICV over ESP header + IV + ciphertext (RFC 4303 §2.8); with ESN the
-  // 32-bit seq-hi is appended to the authenticated data but never
-  // transmitted (RFC 4303 §2.2.1).
-  const std::size_t auth_len =
-      packet::kEspHeaderSize + kIvSize + ciphertext->size();
-  crypto::HmacSha256 hmac = *keymat.hmac_tmpl;
-  hmac.update(buf.subspan(kEspOffset, auth_len));
-  if (sa.esn) {
-    std::uint8_t hi[4];
-    util::store_be32(hi, static_cast<std::uint32_t>(seq >> 32));
-    hmac.update(hi);
-  }
-  const auto icv = hmac.final();
-  std::memcpy(buf.data() + kEspOffset + auth_len, icv.data(), kIcvSize);
-
-  ++sa.packets;
-  sa.bytes += inner_size;
-  ++stats_shard().encapsulated;
-  out.push_back(NfOutput{1, std::move(frame)});
-  return out;
+  if (batch.size > 0) flush_encap(tunnel, batch, out);
 }
 
-std::vector<NfOutput> IpsecEndpoint::decapsulate_cbc(
-    Tunnel& tunnel, EspIngress ingress, packet::PacketBuffer&& frame) {
-  std::vector<NfOutput> out;
-  SecurityAssociation& sa = *ingress.sa;
-  Keymat& keymat = *ingress.keymat;
-  auto esp_area = ingress.esp_area;
-
-  // Verify ICV first (constant time), then replay, then decrypt. Under
-  // ESN the recovered seq-hi joins the authenticated data (implicit
-  // suffix, RFC 4303 §2.2.1) — a wrong recovery fails right here.
-  const std::size_t auth_len = esp_area.size() - kIcvSize;
-  crypto::HmacSha256 hmac = *keymat.hmac_tmpl;
-  hmac.update(esp_area.subspan(0, auth_len));
-  if (sa.esn) {
-    std::uint8_t hi[4];
-    util::store_be32(hi, static_cast<std::uint32_t>(ingress.sequence >> 32));
-    hmac.update(hi);
+void IpsecEndpoint::flush_encap(const Tunnel& tunnel, EspBatch& batch,
+                                std::vector<NfOutput>& out) {
+  constexpr std::size_t kLanes = crypto::CryptoBackend::kMaxMbLanes;
+  const Keymat& keymat = *batch.keymat;
+  const std::size_t n = std::exchange(batch.size, 0);
+  // Crypt: write the IV, encrypt in place, write the ICV behind it.
+  bool sealed = true;
+  if (tunnel.transform == EspTransform::kGcm) {
+    // Independent seal_mb lanes: each packet keeps its own nonce/AAD,
+    // while the batched kernel interleaves their AES streams — short
+    // packets no longer serialise on AESENC latency.
+    std::uint8_t nonce[kLanes][crypto::GcmContext::kIvSize];
+    std::uint8_t aad[kLanes][12];
+    crypto::GcmMbOp ops[kLanes];
+    for (std::size_t i = 0; i < n; ++i) {
+      EspLane& lane = batch.lanes[i];
+      std::uint8_t* buf = lane.frame.data().data();
+      std::uint8_t* iv = buf + lane.esp_off + packet::kEspHeaderSize;
+      util::store_be64(iv, lane.seq);
+      gcm_nonce(*lane.sa, keymat.salt, iv, nonce[i]);
+      ops[i] = crypto::GcmMbOp{{nonce[i], sizeof(nonce[i])},
+                               {aad[i], esp_aad(*lane.sa, lane.seq, aad[i])},
+                               {buf + lane.ct_off, lane.ct_len},
+                               buf + lane.ct_off,
+                               buf + lane.ct_off + lane.ct_len};
+    }
+    sealed = keymat.gcm->seal_mb(ops, n).is_ok();
+  } else {
+    // CBC is chain-serial, so its lanes run one at a time: in-place CBC,
+    // then the HMAC from the cached ipad midstate.
+    for (std::size_t i = 0; i < n; ++i) {
+      EspLane& lane = batch.lanes[i];
+      std::uint8_t* buf = lane.frame.data().data();
+      const auto iv = derive_iv(*keymat.cipher, lane.sa->spi, lane.seq);
+      std::memcpy(buf + lane.esp_off + packet::kEspHeaderSize, iv.data(),
+                  kIvSize);
+      crypto::active_backend().cbc_encrypt(*keymat.cipher, iv.data(),
+                                           buf + lane.ct_off,
+                                           buf + lane.ct_off, lane.ct_len);
+      const auto icv = cbc_icv(*keymat.hmac_tmpl,
+                               {buf + lane.esp_off,
+                                lane.ct_off + lane.ct_len - lane.esp_off},
+                               *lane.sa, lane.seq);
+      std::memcpy(buf + lane.ct_off + lane.ct_len, icv.data(), kIcvSize);
+    }
   }
-  const auto expected = hmac.final();
-  if (!crypto::constant_time_equal({expected.data(), kIcvSize},
-                                   esp_area.subspan(auth_len, kIcvSize))) {
-    ++sa.auth_fail;
-    ++stats_shard().auth_failures;
-    return out;
+  // Ordered emit.
+  if (!sealed) {
+    stats_shard().malformed += n;
+    return;
   }
-  if (!replay_check_and_update(sa, ingress.sequence)) {
-    ++sa.replay_drops;
-    ++stats_shard().replay_drops;
-    return out;
+  for (std::size_t i = 0; i < n; ++i) {
+    EspLane& lane = batch.lanes[i];
+    ++lane.sa->packets;
+    lane.sa->bytes += lane.inner_size;
+    ++stats_shard().encapsulated;
+    out.push_back(NfOutput{1, std::move(lane.frame)});
   }
-
-  auto iv = esp_area.subspan(packet::kEspHeaderSize, kIvSize);
-  auto ciphertext = esp_area.subspan(
-      packet::kEspHeaderSize + kIvSize,
-      auth_len - packet::kEspHeaderSize - kIvSize);
-  auto plaintext =
-      crypto::aes_cbc_decrypt_raw(*keymat.cipher, iv, ciphertext);
-  if (!plaintext) {
-    ++sa.malformed;
-    ++stats_shard().malformed;
-    return out;
-  }
-  // Rebuild the decrypted payload into the frame's own segment (the CBC
-  // helper stages through a vector); the vacated outer-header space
-  // becomes the headroom emit_inner prepends the Ethernet header into.
-  frame.reset();
-  auto dst = frame.push_back(plaintext->size());
-  std::memcpy(dst.data(), plaintext->data(), plaintext->size());
-  return emit_inner(tunnel, sa, std::move(frame));
 }
 
-// RFC 4106-shaped AES-GCM ESP: Eth | outer IPv4 | ESP | IV(8) |
-// ciphertext | ICV(16). The explicit IV is the 64-bit sequence counter;
-// the GCM nonce is (salt ^ SPI)(4) || IV(8) — a deliberate deviation
-// from RFC 4106's plain salt||IV, needed because both directions share
-// one enc_key here (see gcm_nonce(); a conforming peer with per-SA
-// keymat would not interoperate). The AAD is the 8-byte ESP header
-// (SPI, seq).
-// Encryption and authentication happen in one in-place seal() over the
-// output buffer — no separate HMAC pass, no plaintext staging copy, and
-// both CTR and GHASH pipeline across blocks on the hardware backend.
-bool IpsecEndpoint::encapsulate_gcm_prepare(Tunnel& tunnel,
-                                            SecurityAssociation& sa,
-                                            packet::PacketBuffer&& frame,
-                                            GcmEncapPrep& prep) {
-  // Headroom prepend + trailer append + in-place seal rebuild the frame
-  // where it sits; a flooded replica must go private first.
-  frame.unshare();
-  auto inner = parse_inner_ipv4(frame);
-  if (!inner) return false;
-
-  // Claim this packet's sequence number atomically: workers sharing the
-  // SA each get a unique value.
-  const std::uint64_t seq = ++sa.seq;
-  const std::size_t inner_size = inner->size();
-
-  // Reduce the view to the inner IP packet: drop the red-side Ethernet
-  // header and any Ethernet padding past total_length — pure offset
-  // adjustments on the pooled segment, the payload never moves.
-  const std::size_t eth_size =
-      static_cast<std::size_t>(inner->data() - frame.data().data());
-  frame.pull_front(eth_size);
-  frame.trim(inner_size);
-
-  // ESP trailer into the tailroom: GCM is a stream mode, so padding only
-  // has to satisfy the RFC 4303 4-byte alignment of
-  // (payload | pad_len | next_header).
-  const std::size_t pad = (4 - (inner_size + 2) % 4) % 4;
-  const std::size_t pt_len = inner_size + pad + 2;
-  std::uint8_t* trailer = frame.push_back(pad + 2).data();
-  for (std::size_t i = 1; i <= pad; ++i) {
-    trailer[i - 1] = static_cast<std::uint8_t>(i);
+bool IpsecEndpoint::esn_settled(const EspBatch& batch,
+                                const SecurityAssociation& sa,
+                                std::uint32_t seq_lo) {
+  if (!sa.esn) return true;
+  const std::uint64_t top = sa.replay_top;
+  const std::uint64_t seq = esn_recover_seq(top, seq_lo);
+  for (std::size_t i = 0; i < batch.size; ++i) {
+    const EspLane& lane = batch.lanes[i];
+    if (lane.sa == &sa && lane.seq > top &&
+        esn_recover_seq(lane.seq, seq_lo) != seq) {
+      return false;
+    }
   }
-  trailer[pad] = static_cast<std::uint8_t>(pad);
-  trailer[pad + 1] = 4;  // next header: IPv4 (tunnel mode)
-
-  // Claim the headroom for Eth | outer IPv4 | ESP | IV (the red-side
-  // Ethernet header plus default headroom always covers it) and the
-  // tailroom for the ICV; the payload now sits where the seal reads and
-  // writes it.
-  const std::size_t esp_payload =
-      packet::kEspHeaderSize + kGcmIvSize + pt_len + kGcmIcvSize;
-  const std::size_t ct_off =
-      kEspOffset + packet::kEspHeaderSize + kGcmIvSize;
-  frame.push_front(ct_off);
-  frame.push_back(kGcmIcvSize);
-  auto buf = frame.data();
-  write_outer_headers(tunnel, sa, seq, esp_payload, buf);
-  util::store_be64(buf.data() + kEspOffset + packet::kEspHeaderSize, seq);
-
-  Keymat& keymat = *tunnel.keymat;
-  gcm_nonce(sa, keymat.salt, buf.data() + kEspOffset + packet::kEspHeaderSize,
-            prep.nonce);
-  // AAD: the ESP header, widened to SPI || seq-hi || seq-lo under ESN
-  // (without ESN the constructed bytes equal the wire header exactly).
-  prep.aad_len = esp_aad(sa, seq, prep.aad);
-  prep.ct_off = ct_off;
-  prep.pt_len = pt_len;
-  prep.inner_size = inner_size;
-  prep.frame = std::move(frame);
   return true;
 }
 
-NfOutput IpsecEndpoint::encapsulate_gcm_finish(SecurityAssociation& sa,
-                                               GcmEncapPrep&& prep) {
-  ++sa.packets;
-  sa.bytes += prep.inner_size;
-  ++stats_shard().encapsulated;
-  return NfOutput{1, std::move(prep.frame)};
-}
-
-std::vector<NfOutput> IpsecEndpoint::encapsulate_gcm(
-    Tunnel& tunnel, SecurityAssociation& sa, packet::PacketBuffer&& frame) {
-  std::vector<NfOutput> out;
-  GcmEncapPrep prep;
-  if (!encapsulate_gcm_prepare(tunnel, sa, std::move(frame), prep)) {
-    return out;
-  }
-  auto buf = prep.frame.data();
-  // Encryption and authentication in one in-place seal() over the
-  // output buffer — no separate HMAC pass, no plaintext staging copy,
-  // and both CTR and GHASH pipeline across blocks on the hardware
-  // backend.
-  if (!tunnel.keymat->gcm
-           ->seal({prep.nonce, sizeof(prep.nonce)}, {prep.aad, prep.aad_len},
-                  buf.subspan(prep.ct_off, prep.pt_len),
-                  buf.data() + prep.ct_off,
-                  buf.data() + prep.ct_off + prep.pt_len)
-           .is_ok()) {
-    ++stats_shard().malformed;
-    return out;
-  }
-  out.push_back(encapsulate_gcm_finish(sa, std::move(prep)));
-  return out;
-}
-
-void IpsecEndpoint::encapsulate_gcm_burst(Tunnel& tunnel,
-                                          SecurityAssociation& sa,
-                                          packet::PacketBurst& burst,
-                                          std::vector<NfOutput>& out) {
-  // Same-SA frames become independent seal_mb lanes: each packet keeps
-  // its own nonce/AAD/sequence (claimed in frame order, so the wire is
-  // bit-identical to the serial loop), while the batched kernel
-  // interleaves their AES streams — short packets no longer serialise
-  // on AESENC latency.
-  constexpr std::size_t kLanes = crypto::CryptoBackend::kMaxMbLanes;
-  Keymat& keymat = *tunnel.keymat;
-  std::size_t idx = 0;
-  while (idx < burst.size()) {
-    GcmEncapPrep preps[kLanes];
-    crypto::GcmMbOp ops[kLanes];
-    std::size_t n = 0;
-    while (idx < burst.size() && n < kLanes) {
-      GcmEncapPrep& prep = preps[n];
-      if (!encapsulate_gcm_prepare(tunnel, sa, std::move(burst[idx++]),
-                                   prep)) {
-        continue;  // dropped; parse failures leave no lane behind
+void IpsecEndpoint::decap(ContextId ctx, Tunnel& tunnel,
+                          std::span<packet::PacketBuffer> frames,
+                          bool lifecycle, std::vector<NfOutput>& out) {
+  const EspLayout& layout = esp_layout(tunnel.transform);
+  const std::size_t min_esp_payload = packet::kEspHeaderSize +
+                                      layout.iv_size + layout.min_ct +
+                                      layout.icv_size;
+  EspBatch batch;
+  for (packet::PacketBuffer& frame : frames) {
+    // Decryption happens in place over the ciphertext region, so the
+    // frame must own its segment.
+    frame.unshare();
+    auto ingress = parse_esp_ingress(ctx, tunnel, frame, min_esp_payload);
+    if (!ingress) continue;
+    SecurityAssociation& sa = *ingress->sa;
+    if (lifecycle) {
+      // Hard expiry reads the usage pending lanes only account at emit.
+      if (batch.size > 0 && has_volume_lifetime(tunnel.lifetime)) {
+        flush_decap(tunnel, batch, out);
       }
-      auto buf = prep.frame.data();
-      ops[n] = crypto::GcmMbOp{{prep.nonce, sizeof(prep.nonce)},
-                               {prep.aad, prep.aad_len},
-                               {buf.data() + prep.ct_off, prep.pt_len},
-                               buf.data() + prep.ct_off,
-                               buf.data() + prep.ct_off + prep.pt_len};
-      ++n;
+      if (sa.state == SaState::kDead || hard_expired(tunnel.lifetime, sa)) {
+        sa.state = SaState::kDead;
+        ++sa.lifetime_drops;
+        ++stats_shard().lifetime_drops;
+        continue;
+      }
     }
-    if (n == 0) continue;
-    if (!keymat.gcm->seal_mb(ops, n).is_ok()) {
-      stats_shard().malformed += n;
+    // A batch shares one keymat (a control SPI mid-burst starts the next
+    // one), and its ESN sequences must not depend on how its own emit
+    // moves the window.
+    if (batch.size > 0 && (ingress->keymat != batch.keymat ||
+                           !esn_settled(batch, sa, ingress->seq_lo))) {
+      flush_decap(tunnel, batch, out);
+    }
+    EspLane& lane = batch.lanes[batch.size];
+    lane.sa = &sa;
+    // The 64-bit sequence is recovered once, here, and reused for the
+    // AAD/ICV input and the replay update.
+    lane.seq = sa.esn ? esn_recover_seq(sa.replay_top, ingress->seq_lo)
+                      : ingress->seq_lo;
+    lane.esp_off = ingress->esp_off;
+    lane.ct_off = lane.esp_off + packet::kEspHeaderSize + layout.iv_size;
+    lane.ct_len = ingress->esp_area.size() - packet::kEspHeaderSize -
+                  layout.iv_size - layout.icv_size;
+    lane.frame = std::move(frame);
+    batch.keymat = ingress->keymat;
+    if (++batch.size == batch.lanes.size()) flush_decap(tunnel, batch, out);
+  }
+  if (batch.size > 0) flush_decap(tunnel, batch, out);
+}
+
+void IpsecEndpoint::flush_decap(const Tunnel& tunnel, EspBatch& batch,
+                                std::vector<NfOutput>& out) {
+  constexpr std::size_t kLanes = crypto::CryptoBackend::kMaxMbLanes;
+  const Keymat& keymat = *batch.keymat;
+  const std::size_t n = std::exchange(batch.size, 0);
+  // Crypt: authenticate, then decrypt in place. Nothing here touches SA
+  // state, so the verdicts wait for the ordered emit; a forged lane's
+  // plaintext is never released.
+  if (tunnel.transform == EspTransform::kGcm) {
+    // One batched open_mb: tag over SPI || [recovered seq-hi ||] seq-lo
+    // + ciphertext and CTR decryption in one pass per lane; forged lanes
+    // come back wiped and flagged.
+    std::uint8_t nonce[kLanes][crypto::GcmContext::kIvSize];
+    std::uint8_t aad[kLanes][12];
+    crypto::GcmMbOp ops[kLanes];
+    bool ok[kLanes];
+    for (std::size_t i = 0; i < n; ++i) {
+      EspLane& lane = batch.lanes[i];
+      std::uint8_t* buf = lane.frame.data().data();
+      gcm_nonce(*lane.sa, keymat.salt,
+                buf + lane.esp_off + packet::kEspHeaderSize, nonce[i]);
+      ops[i] = crypto::GcmMbOp{{nonce[i], sizeof(nonce[i])},
+                               {aad[i], esp_aad(*lane.sa, lane.seq, aad[i])},
+                               {buf + lane.ct_off, lane.ct_len},
+                               buf + lane.ct_off,
+                               buf + lane.ct_off + lane.ct_len};
+    }
+    (void)keymat.gcm->open_mb(ops, n, ok);
+    for (std::size_t i = 0; i < n; ++i) batch.lanes[i].ok = ok[i];
+  } else {
+    // ICV first (constant time, seq-hi folded in under ESN), then
+    // in-place CBC over the authenticated ciphertext.
+    for (std::size_t i = 0; i < n; ++i) {
+      EspLane& lane = batch.lanes[i];
+      std::uint8_t* buf = lane.frame.data().data();
+      const std::uint8_t* icv = buf + lane.ct_off + lane.ct_len;
+      const auto expected = cbc_icv(
+          *keymat.hmac_tmpl,
+          {buf + lane.esp_off, lane.ct_off + lane.ct_len - lane.esp_off},
+          *lane.sa, lane.seq);
+      lane.ok = crypto::constant_time_equal({expected.data(), kIcvSize},
+                                            {icv, kIcvSize});
+      if (!lane.ok) continue;
+      if (lane.ct_len % crypto::Aes::kBlockSize != 0) {
+        // Authentic but not whole blocks: it decrypts to nothing, which
+        // the emit counts malformed after the replay update.
+        lane.ct_len = 0;
+        continue;
+      }
+      crypto::active_backend().cbc_decrypt(
+          *keymat.cipher, buf + lane.esp_off + packet::kEspHeaderSize,
+          buf + lane.ct_off, buf + lane.ct_off, lane.ct_len);
+    }
+  }
+  // Ordered emit: verdict, replay window, trailer — the only state
+  // mutations, in frame order, so every frame meets the window exactly
+  // as the lanes before it left it.
+  for (std::size_t i = 0; i < n; ++i) {
+    EspLane& lane = batch.lanes[i];
+    SecurityAssociation& sa = *lane.sa;
+    if (!lane.ok) {
+      ++sa.auth_fail;
+      ++stats_shard().auth_failures;
       continue;
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(encapsulate_gcm_finish(sa, std::move(preps[i])));
+    if (!replay_check_and_update(sa, lane.seq)) {
+      ++sa.replay_drops;
+      ++stats_shard().replay_drops;
+      continue;
     }
+    // Decap is a pure view adjustment: the outer headers + ESP + IV
+    // become headroom, the ICV falls off the tail.
+    lane.frame.pull_front(lane.ct_off);
+    lane.frame.trim(lane.ct_len);
+    emit_inner(tunnel, sa, std::move(lane.frame), out);
   }
-}
-
-void IpsecEndpoint::decapsulate_gcm_burst(ContextId ctx, Tunnel& tunnel,
-                                          packet::PacketBurst& burst,
-                                          std::vector<NfOutput>& out) {
-  constexpr std::size_t kLanes = crypto::CryptoBackend::kMaxMbLanes;
-  const std::size_t min_esp_payload =
-      packet::kEspHeaderSize + kGcmIvSize + 2 + kGcmIcvSize;
-
-  struct DecapPrep {
-    packet::PacketBuffer frame;
-    SecurityAssociation* sa = nullptr;
-    Keymat* keymat = nullptr;
-    std::uint64_t sequence = 0;
-    std::size_t pt_off = 0;
-    std::size_t ct_len = 0;
-    std::uint8_t nonce[crypto::GcmContext::kIvSize] = {};
-    std::uint8_t aad[12] = {};
-    std::size_t aad_len = 0;
-  };
-
-  std::size_t idx = 0;
-  while (idx < burst.size()) {
-    DecapPrep preps[kLanes];
-    crypto::GcmMbOp ops[kLanes];
-    std::size_t n = 0;
-    while (idx < burst.size() && n < kLanes) {
-      packet::PacketBuffer frame = std::move(burst[idx]);
-      // Decryption happens in place over the ciphertext region, so the
-      // ingress spans must point into a privately owned segment.
-      frame.unshare();
-      auto ingress = parse_esp_ingress(ctx, tunnel, frame, min_esp_payload);
-      if (!ingress) {
-        ++idx;
-        continue;  // dropped and counted by the parser
-      }
-      // A batch shares one GcmContext: frames resolving to different
-      // keymat (a control SPI mid-burst) close the current group and
-      // start the next one.
-      if (n > 0 && ingress->keymat != preps[0].keymat) {
-        burst[idx] = std::move(frame);
-        break;
-      }
-      ++idx;
-      DecapPrep& prep = preps[n];
-      prep.sa = ingress->sa;
-      prep.keymat = ingress->keymat;
-      prep.sequence = ingress->sequence;
-      auto esp_area = ingress->esp_area;
-      gcm_nonce(*prep.sa, prep.keymat->salt,
-                esp_area.data() + packet::kEspHeaderSize, prep.nonce);
-      prep.aad_len = esp_aad(*prep.sa, prep.sequence, prep.aad);
-      prep.ct_len = esp_area.size() - packet::kEspHeaderSize - kGcmIvSize -
-                    kGcmIcvSize;
-      prep.pt_off = ingress->esp_off + packet::kEspHeaderSize + kGcmIvSize;
-      auto ciphertext =
-          esp_area.subspan(packet::kEspHeaderSize + kGcmIvSize, prep.ct_len);
-      auto icv = esp_area.subspan(esp_area.size() - kGcmIcvSize, kGcmIcvSize);
-      prep.frame = std::move(frame);
-      ops[n] = crypto::GcmMbOp{
-          {prep.nonce, sizeof(prep.nonce)},
-          {prep.aad, prep.aad_len},
-          ciphertext,
-          prep.frame.data().data() + prep.pt_off,
-          const_cast<std::uint8_t*>(icv.data())};
-      ++n;
-    }
-    if (n == 0) continue;
-    // Authenticate + decrypt every lane in one batched pass; forged
-    // lanes come back wiped and flagged. The ordered epilogue below then
-    // applies verdicts, replay checks and trailer stripping in frame
-    // order — the only state mutations, so semantics match the serial
-    // path packet for packet.
-    bool ok[kLanes];
-    (void)preps[0].keymat->gcm->open_mb(ops, n, ok);
-    for (std::size_t i = 0; i < n; ++i) {
-      DecapPrep& prep = preps[i];
-      SecurityAssociation& sa = *prep.sa;
-      if (!ok[i]) {
-        ++sa.auth_fail;
-        ++stats_shard().auth_failures;
-        continue;
-      }
-      if (!replay_check_and_update(sa, prep.sequence)) {
-        ++sa.replay_drops;
-        ++stats_shard().replay_drops;
-        continue;
-      }
-      prep.frame.pull_front(prep.pt_off);
-      prep.frame.trim(prep.ct_len);
-      auto one = emit_inner(tunnel, sa, std::move(prep.frame));
-      for (NfOutput& output : one) out.push_back(std::move(output));
-    }
-  }
-}
-
-std::vector<NfOutput> IpsecEndpoint::decapsulate_gcm(
-    Tunnel& tunnel, EspIngress ingress, packet::PacketBuffer&& frame) {
-  std::vector<NfOutput> out;
-  SecurityAssociation& sa = *ingress.sa;
-  Keymat& keymat = *ingress.keymat;
-  auto esp_area = ingress.esp_area;
-
-  std::uint8_t nonce[crypto::GcmContext::kIvSize];
-  gcm_nonce(sa, keymat.salt, esp_area.data() + packet::kEspHeaderSize, nonce);
-
-  const std::size_t ct_len = esp_area.size() - packet::kEspHeaderSize -
-                             kGcmIvSize - kGcmIcvSize;
-  auto ciphertext =
-      esp_area.subspan(packet::kEspHeaderSize + kGcmIvSize, ct_len);
-  auto icv = esp_area.subspan(esp_area.size() - kGcmIcvSize, kGcmIcvSize);
-
-  // Authenticate (tag over SPI || [recovered seq-hi ||] seq-lo +
-  // ciphertext) and decrypt in one pass, then replay-check, then strip
-  // the trailer. Under ESN the recovered high half is bound into the
-  // AAD here — the wire never carries it.
-  std::uint8_t aad[12];
-  const std::size_t aad_len = esp_aad(sa, ingress.sequence, aad);
-  // Decrypt in place: the plaintext overwrites the ciphertext region of
-  // the frame's own segment (gcm_crypt allows in == out). On auth
-  // failure open() wipes the half-written plaintext and the frame is
-  // dropped, so nothing unauthenticated ever leaves this function.
-  const std::size_t pt_off =
-      ingress.esp_off + packet::kEspHeaderSize + kGcmIvSize;
-  if (!keymat.gcm->open({nonce, sizeof(nonce)}, {aad, aad_len}, ciphertext,
-                        icv, frame.data().data() + pt_off)) {
-    ++sa.auth_fail;
-    ++stats_shard().auth_failures;
-    return out;
-  }
-  if (!replay_check_and_update(sa, ingress.sequence)) {
-    ++sa.replay_drops;
-    ++stats_shard().replay_drops;
-    return out;
-  }
-  // Decap is a pure view adjustment: the outer headers + ESP + IV
-  // become headroom, the ICV falls off the tail.
-  frame.pull_front(pt_off);
-  frame.trim(ct_len);
-  return emit_inner(tunnel, sa, std::move(frame));
-}
-
-std::vector<NfOutput> IpsecEndpoint::process_burst(
-    ContextId ctx, NfPortIndex in_port, sim::SimTime now,
-    packet::PacketBurst&& burst) {
-  std::vector<NfOutput> out;
-  if (burst.empty()) return out;
-  {
-    // Steady-state fast path for the whole burst under the shared lock;
-    // fast_path_ok is sized by the burst so no frame inside it can trip
-    // a lifecycle transition.
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    if (!has_context(ctx) || in_port >= 2) {
-      stats_shard().malformed += burst.size();
-      return out;
-    }
-    auto it = tunnels_.find(ctx);
-    if (it == tunnels_.end() || !it->second.configured) {
-      stats_shard().no_sa += burst.size();
-      return out;
-    }
-    Tunnel& tunnel = it->second;
-    if (fast_path_ok(tunnel, in_port, burst.size())) {
-      out.reserve(burst.size());
-      // GCM bursts take the multi-buffer lanes: up to kMaxMbLanes
-      // same-SA frames sealed/opened per batched backend call. Batched
-      // ESN decap is skipped — seq-hi recovery reads the replay window,
-      // and a burst crossing a 2^32 boundary must see each prior
-      // packet's window update (the serial loop's semantics).
-      if (tunnel.transform == EspTransform::kGcm && in_port == 0) {
-        encapsulate_gcm_burst(tunnel, tunnel.out_sa, burst, out);
-      } else if (tunnel.transform == EspTransform::kGcm &&
-                 !tunnel.in_sa.esn) {
-        decapsulate_gcm_burst(ctx, tunnel, burst, out);
-      } else {
-        for (packet::PacketBuffer& frame : burst) {
-          auto one = in_port == 0
-                         ? encapsulate_cbc(tunnel, tunnel.out_sa,
-                                           std::move(frame))
-                         : decapsulate(ctx, tunnel, std::move(frame));
-          for (NfOutput& output : one) out.push_back(std::move(output));
-        }
-      }
-      burst.clear();
-      return out;
-    }
-  }
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  auto it = tunnels_.find(ctx);
-  if (it == tunnels_.end() || !it->second.configured) {
-    stats_shard().no_sa += burst.size();
-    return out;
-  }
-  Tunnel& tunnel = it->second;
-  // Burst-amortised lifecycle sweep: the drain deadline cannot re-arm
-  // mid-burst (cutover inside the burst sets a deadline >= now), so one
-  // check up front covers every frame.
-  expire_draining(ctx, tunnel, now);
-  out.reserve(burst.size());
-  for (packet::PacketBuffer& frame : burst) {
-    auto one = in_port == 0
-                   ? encapsulate(ctx, tunnel, now, std::move(frame))
-                   : decapsulate(ctx, tunnel, std::move(frame));
-    for (NfOutput& output : one) out.push_back(std::move(output));
-  }
-  burst.clear();
-  return out;
 }
 
 bool IpsecEndpoint::replay_check_and_update(SecurityAssociation& sa,
@@ -1273,6 +1126,7 @@ IpsecStats IpsecEndpoint::stats() const {
     totals.rekeys_started += s.rekeys_started;
     totals.rekeys_completed += s.rekeys_completed;
     totals.sas_retired += s.sas_retired;
+    totals.cross_slot_frames += s.cross_slot_frames;
   }
   return totals;
 }
@@ -1292,6 +1146,7 @@ json::Value IpsecEndpoint::describe_stats(ContextId ctx) const {
   endpoint["rekeys_started"] = totals.rekeys_started.load();
   endpoint["rekeys_completed"] = totals.rekeys_completed.load();
   endpoint["sas_retired"] = totals.sas_retired.load();
+  endpoint["cross_slot_frames"] = totals.cross_slot_frames.load();
   doc["endpoint"] = std::move(endpoint);
   doc["sad_size"] = static_cast<std::uint64_t>(sad_.size());
   auto it = tunnels_.find(ctx);

@@ -100,9 +100,13 @@ struct SaLifetime {
 /// atomics so datapath workers on different shards may share an SA.
 /// The outbound sequence is claimed with an atomic increment (every
 /// packet gets a unique seq regardless of which worker sends it); the
-/// replay window is single-writer by construction — RSS pins all ESP
-/// ingress of one outer IP pair, hence one SPI, to one worker.
+/// replay window has a single writer. RSS pins all ESP ingress of one
+/// outer IP pair, hence one SPI, to one worker, and `replay_owner`
+/// enforces it: the shared-lock path only decapsulates on the owning
+/// worker slot; any other slot goes through the exclusive lock.
 struct SecurityAssociation {
+  static constexpr std::size_t kNoOwner = ~std::size_t{0};
+
   std::uint32_t spi = 0;
   std::array<std::uint8_t, 16> enc_key{};   ///< AES-128
   std::array<std::uint8_t, 4> salt{};       ///< GCM nonce salt (RFC 4106)
@@ -114,6 +118,9 @@ struct SecurityAssociation {
   // (seq-hi || seq-lo under ESN) + sliding bitmap below it.
   util::RelaxedCounter replay_top;
   util::RelaxedCounter replay_bitmap;
+  /// Worker slot allowed to update the window under the shared lock;
+  /// (re)assigned only under the exclusive lock.
+  util::Relaxed<std::size_t> replay_owner = kNoOwner;
   // Lifetime usage + per-SA failure accounting.
   util::RelaxedCounter packets;
   util::RelaxedCounter bytes;
@@ -142,6 +149,9 @@ struct IpsecStats {
   util::RelaxedCounter rekeys_started;    ///< staged keymat installed
   util::RelaxedCounter rekeys_completed;  ///< outbound cutover performed
   util::RelaxedCounter sas_retired;       ///< draining inbound SAs expired
+  /// Inbound frames that arrived on a worker slot other than their SA's
+  /// replay-window owner and were serialised through the exclusive lock.
+  util::RelaxedCounter cross_slot_frames;
 };
 
 class IpsecEndpoint : public NetworkFunction {
@@ -187,10 +197,11 @@ class IpsecEndpoint : public NetworkFunction {
                                 sim::SimTime now,
                                 packet::PacketBuffer&& frame) override;
 
-  /// Burst override: the context -> tunnel resolution (hash lookup +
-  /// configured checks), the drain-deadline sweep and the staged-cutover
-  /// check happen once for the whole burst instead of per packet; the
-  /// cached key schedules and HMAC midstate then serve every frame.
+  /// The one datapath entry (process() is a burst of one): the context
+  /// -> tunnel resolution, the lock choice and the drain-deadline sweep
+  /// happen once per burst; the burst then runs through the ESP
+  /// pipeline, whose GCM lanes are sealed/opened up to kMaxMbLanes at a
+  /// time with the cached key schedules and HMAC midstate.
   std::vector<NfOutput> process_burst(ContextId ctx, NfPortIndex in_port,
                                       sim::SimTime now,
                                       packet::PacketBurst&& burst) override;
@@ -308,13 +319,6 @@ class IpsecEndpoint : public NetworkFunction {
   SecurityAssociation* outbound_gate(ContextId ctx, Tunnel& tunnel,
                                      sim::SimTime now);
 
-  // encapsulate/decapsulate dispatch on the tunnel's transform.
-  std::vector<NfOutput> encapsulate(ContextId ctx, Tunnel& tunnel,
-                                    sim::SimTime now,
-                                    packet::PacketBuffer&& frame);
-  std::vector<NfOutput> decapsulate(ContextId ctx, Tunnel& tunnel,
-                                    packet::PacketBuffer&& frame);
-
   /// Shared encap prologue: validates the red-side frame as
   /// Ethernet+IPv4 and returns the inner IP packet (trimmed to its
   /// total length); counts `malformed` and returns nullopt on failure.
@@ -323,7 +327,7 @@ class IpsecEndpoint : public NetworkFunction {
 
   /// Shared encap epilogue start: writes Eth | outer IPv4 | ESP header
   /// into the first kEspOffset + kEspHeaderSize bytes of `buf` — the
-  /// header area the transforms reclaim from the input frame's headroom
+  /// header area the gather reclaims from the input frame's headroom
   /// via push_front (no output-frame allocation, no payload copy).
   /// `esp_payload` sizes the outer IP total-length field. `seq` is the
   /// sequence number this packet claimed with its atomic increment —
@@ -337,16 +341,13 @@ class IpsecEndpoint : public NetworkFunction {
   /// ESP area (outer headers, ESP proto, destination, minimum payload)
   /// and resolves the inbound SA by SPI through the SAD — current,
   /// staged and draining generations all match, which is what makes the
-  /// rekey switchover lossless. Counts malformed/no_sa/lifetime and
-  /// returns nullopt on failure. `sequence` is the full 64-bit sequence:
-  /// under ESN the high half is recovered from the replay window
-  /// (RFC 4304 Appendix A) exactly once here and reused for the AAD/ICV
-  /// input and the replay update — on both the single-packet and burst
-  /// paths. Every size check happens before any state mutation.
+  /// rekey switchover lossless. Counts malformed/no_sa and returns
+  /// nullopt on failure. Every size check happens before any state
+  /// mutation.
   struct EspIngress {
     std::span<const std::uint8_t> esp_area;
-    std::size_t esp_off = 0;  ///< offset of esp_area within the frame
-    std::uint64_t sequence = 0;
+    std::size_t esp_off = 0;    ///< offset of esp_area within the frame
+    std::uint32_t seq_lo = 0;   ///< wire sequence (the low half under ESN)
     SecurityAssociation* sa = nullptr;
     Keymat* keymat = nullptr;
   };
@@ -359,67 +360,70 @@ class IpsecEndpoint : public NetworkFunction {
   /// pooled segment. Validates + strips the trailer (pad bytes
   /// 1..pad_len, next_header IPv4, pad_len bounded by the payload) with
   /// trim(), then rebuilds the red-side Ethernet header in the headroom
-  /// the stripped outer headers left behind — no copy. Counts
-  /// `malformed` (endpoint + per-SA) and returns an empty vector on
-  /// failure.
-  std::vector<NfOutput> emit_inner(const Tunnel& tunnel,
-                                   SecurityAssociation& sa,
-                                   packet::PacketBuffer&& inner);
+  /// the stripped outer headers left behind — no copy — and appends it
+  /// to `out`. Counts `malformed` (endpoint + per-SA) and emits nothing
+  /// on failure.
+  void emit_inner(const Tunnel& tunnel, SecurityAssociation& sa,
+                  packet::PacketBuffer&& inner, std::vector<NfOutput>& out);
 
   static constexpr std::size_t kEspOffset =
       packet::kEthernetHeaderSize + packet::kIpv4MinHeaderSize;
-  std::vector<NfOutput> encapsulate_cbc(Tunnel& tunnel,
-                                        SecurityAssociation& sa,
-                                        packet::PacketBuffer&& frame);
-  std::vector<NfOutput> decapsulate_cbc(Tunnel& tunnel, EspIngress ingress,
-                                        packet::PacketBuffer&& frame);
-  std::vector<NfOutput> encapsulate_gcm(Tunnel& tunnel,
-                                        SecurityAssociation& sa,
-                                        packet::PacketBuffer&& frame);
-  std::vector<NfOutput> decapsulate_gcm(Tunnel& tunnel, EspIngress ingress,
-                                        packet::PacketBuffer&& frame);
 
-  /// A GCM encapsulation carried up to (but excluding) the seal: the
-  /// frame rebuilt in place (outer headers, ESP header/IV, trailer, ICV
-  /// room) with the nonce and AAD derived. The pooled segment does not
-  /// move with the PacketBuffer handle, so spans into prep.frame stay
-  /// valid while a burst's preps queue up as seal_mb lanes.
-  struct GcmEncapPrep {
+  // --- the ESP pipeline (docs/datapath.md §4) --------------------------
+  // One pipeline per direction: gather (parse, SA, sequence, in-place
+  // rebuild) -> crypt (a batch of lanes through seal_mb/open_mb, or
+  // CBC-HMAC lane by lane) -> ordered emit (verdicts, replay window,
+  // counters, trailer strip, outputs in frame order).
+
+  /// One frame in flight. The pooled segment does not move with the
+  /// PacketBuffer handle, so offsets into `frame` stay valid while a
+  /// batch of lanes queues up for one backend call.
+  struct EspLane {
     packet::PacketBuffer frame;
-    std::size_t ct_off = 0;
-    std::size_t pt_len = 0;
-    std::size_t inner_size = 0;
-    std::uint8_t nonce[crypto::GcmContext::kIvSize] = {};
-    std::uint8_t aad[12] = {};
-    std::size_t aad_len = 0;
+    SecurityAssociation* sa = nullptr;
+    std::uint64_t seq = 0;       ///< full 64-bit sequence (ESN-recovered)
+    std::size_t esp_off = 0;     ///< ESP header offset within the frame
+    std::size_t ct_off = 0;      ///< ciphertext (= plaintext) offset
+    std::size_t ct_len = 0;
+    std::size_t inner_size = 0;  ///< encap: inner IP bytes accounted
+    bool ok = false;             ///< decap: the crypt step authenticated it
   };
 
-  /// First half of encapsulate_gcm (sequence claim, header/trailer
-  /// rebuild, nonce/AAD derivation). Returns false — frame dropped and
-  /// counted — when the inner packet does not parse.
-  bool encapsulate_gcm_prepare(Tunnel& tunnel, SecurityAssociation& sa,
-                               packet::PacketBuffer&& frame,
-                               GcmEncapPrep& prep);
-  /// Second half: per-packet counters + output emission after the seal.
-  NfOutput encapsulate_gcm_finish(SecurityAssociation& sa,
-                                  GcmEncapPrep&& prep);
+  /// Up to kMaxMbLanes lanes under one keymat (one seal_mb/open_mb call).
+  struct EspBatch {
+    std::array<EspLane, crypto::CryptoBackend::kMaxMbLanes> lanes;
+    std::size_t size = 0;
+    Keymat* keymat = nullptr;
+  };
 
-  /// Fast-path burst encapsulation: same-SA frames gathered into groups
-  /// of up to crypto::CryptoBackend::kMaxMbLanes independent lanes and
-  /// sealed through GcmContext::seal_mb — bit-identical to the serial
-  /// loop (sequence numbers are claimed in frame order), but the AES and
-  /// GHASH work of short packets interleaves across the burst.
-  void encapsulate_gcm_burst(Tunnel& tunnel, SecurityAssociation& sa,
-                             packet::PacketBurst& burst,
-                             std::vector<NfOutput>& out);
-  /// Fast-path burst decapsulation: consecutive frames resolving to the
-  /// same keymat authenticate + decrypt as open_mb lanes; verdicts,
-  /// replay checks and inner emission then run in frame order, so drop
-  /// semantics match the serial path exactly (auth is pure crypto and
-  /// replay state only advances in the ordered epilogue).
-  void decapsulate_gcm_burst(ContextId ctx, Tunnel& tunnel,
-                             packet::PacketBurst& burst,
-                             std::vector<NfOutput>& out);
+  /// process()/process_burst() body: context checks, then the
+  /// shared-lock fast path or the exclusive-lock lifecycle path, both
+  /// feeding the same pipeline.
+  void run(ContextId ctx, NfPortIndex in_port, sim::SimTime now,
+           std::span<packet::PacketBuffer> frames,
+           std::vector<NfOutput>& out);
+  /// The two pipelines. `lifecycle` runs the per-frame gates
+  /// (outbound_gate, inbound hard expiry); only the exclusive-lock path
+  /// sets it.
+  void encap(ContextId ctx, Tunnel& tunnel, sim::SimTime now,
+             std::span<packet::PacketBuffer> frames, bool lifecycle,
+             std::vector<NfOutput>& out);
+  void decap(ContextId ctx, Tunnel& tunnel,
+             std::span<packet::PacketBuffer> frames, bool lifecycle,
+             std::vector<NfOutput>& out);
+  /// Crypt + ordered emit of a gathered batch; leaves it empty. The crypt
+  /// step is the only place either direction branches on the transform.
+  void flush_encap(const Tunnel& tunnel, EspBatch& batch,
+                   std::vector<NfOutput>& out);
+  void flush_decap(const Tunnel& tunnel, EspBatch& batch,
+                   std::vector<NfOutput>& out);
+  /// ESN seq-hi is inferred from the replay window, whose top the emit
+  /// of pending lanes on `sa` can still raise to any of their sequences
+  /// above it. True when every such top infers the same sequence for
+  /// `seq_lo` as the current one — otherwise the gather closes the batch.
+  static bool esn_settled(const EspBatch& batch,
+                          const SecurityAssociation& sa,
+                          std::uint32_t seq_lo);
 
   /// Applies the staged-rekey config keys collected by configure().
   util::Status stage_rekey(ContextId ctx, Tunnel& tunnel,
@@ -436,8 +440,8 @@ class IpsecEndpoint : public NetworkFunction {
   /// enough from its sequence ceiling that neither the soft headroom
   /// trigger nor exhaustion can trip inside the burst. Under these
   /// conditions the datapath runs under a shared lock — counters are
-  /// atomic, replay windows are single-writer by RSS — and anything
-  /// else retries under the exclusive lock with the exact
+  /// atomic, a replay window is written only by its owner slot — and
+  /// anything else retries under the exclusive lock with the exact
   /// single-threaded lifecycle semantics.
   [[nodiscard]] static bool fast_path_ok(const Tunnel& tunnel,
                                          NfPortIndex in_port,

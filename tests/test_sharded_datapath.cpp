@@ -358,6 +358,50 @@ TEST(DatapathExecutor, SubmitToPinsFrameToChosenWorker) {
   EXPECT_EQ(on_target.load(), 32u);
 }
 
+// drain() means quiesced *and* counted: every round's stats must be
+// final the moment drain() returns, for ingress and handoff rings alike.
+TEST(DatapathExecutor, DrainReturnsOnlyAfterStatsArePublished) {
+  constexpr std::uint32_t kIngressTag = 1;
+  constexpr std::uint32_t kHandoffTag = 2;
+  exec::DatapathExecutorConfig config;
+  config.workers = 3;
+  exec::DatapathExecutor executor(
+      config, [&](exec::WorkerContext& ctx, std::uint32_t tag,
+                  packet::PacketBurst&& burst) {
+        if (tag != kIngressTag) return;
+        for (std::size_t i = 0; i < burst.size(); i += 2) {
+          ctx.handoff((ctx.index() + 1) % ctx.worker_count(), kHandoffTag,
+                      std::move(burst[i]));
+        }
+      });
+  constexpr std::size_t kRounds = 200;
+  constexpr std::size_t kFrames = 24;
+  std::uint64_t expect_processed = 0;
+  std::uint64_t expect_handoffs = 0;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    packet::PacketBurst burst;
+    for (std::uint32_t i = 0; i < kFrames; ++i) {
+      burst.push_back(make_udp(i, static_cast<std::uint16_t>(6000 + i)));
+    }
+    ASSERT_EQ(executor.submit_burst(kIngressTag, std::move(burst)), kFrames);
+    executor.drain();
+    // Every ingress burst hands off its even-indexed frames; a burst's
+    // size depends on how the ring batches, so count handoffs from the
+    // executor's own out-counter and hold in == out exactly.
+    std::uint64_t out = 0;
+    std::uint64_t in = 0;
+    for (std::size_t w = 0; w < executor.worker_count(); ++w) {
+      out += executor.worker_stats(w).handoff_out;
+      in += executor.worker_stats(w).handoff_in;
+    }
+    expect_handoffs = out;
+    expect_processed += kFrames;
+    ASSERT_EQ(in, expect_handoffs) << "round " << round;
+    ASSERT_EQ(executor.total_processed(), expect_processed + expect_handoffs)
+        << "round " << round;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Multi-worker LSI classify (per-slot microflow caches)
 // ---------------------------------------------------------------------------
@@ -486,6 +530,77 @@ TEST(ShardedDatapath, SharedTunnelClaimsUniqueEspSequences) {
                         .size();
   }
   EXPECT_EQ(decapsulated, kFrames);
+}
+
+// The replay window has one writer even when RSS is bypassed: two worker
+// slots decapsulating the same SPI must never both deliver a sequence.
+TEST(IpsecReplayOwner, TwoSlotsOnOneSpiDeliverEachSequenceOnce) {
+  nnf::IpsecEndpoint initiator;
+  nnf::IpsecEndpoint responder;
+  ASSERT_TRUE(initiator
+                  .configure(nnf::kDefaultContext,
+                             tunnel_config("198.51.100.1", "198.51.100.2",
+                                           "1001", "2002"))
+                  .is_ok());
+  ASSERT_TRUE(responder
+                  .configure(nnf::kDefaultContext,
+                             tunnel_config("198.51.100.2", "198.51.100.1",
+                                           "2002", "1001"))
+                  .is_ok());
+  constexpr std::size_t kFrames = 256;
+  constexpr std::size_t kBurst = 8;
+  packet::PacketBurst black_a;
+  packet::PacketBurst black_b;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    auto out = initiator.process(
+        nnf::kDefaultContext, 0, 0,
+        make_udp(1, static_cast<std::uint16_t>(10000 + i)));
+    ASSERT_EQ(out.size(), 1u);
+    black_b.push_back(out[0].frame.copy());
+    black_a.push_back(std::move(out[0].frame));
+  }
+
+  // Each slot offers every frame, in order, in bursts.
+  auto receive = [&](std::size_t slot, packet::PacketBurst frames,
+                     std::vector<std::uint16_t>& delivered) {
+    exec::ScopedWorkerSlot scope(slot);
+    for (std::size_t off = 0; off < frames.size(); off += kBurst) {
+      packet::PacketBurst chunk;
+      for (std::size_t i = off; i < off + kBurst; ++i) {
+        chunk.push_back(std::move(frames[i]));
+      }
+      for (auto& out : responder.process_burst(nnf::kDefaultContext, 1, 0,
+                                               std::move(chunk))) {
+        auto tuple = packet::extract_five_tuple(
+            out.frame.data().subspan(packet::kEthernetHeaderSize));
+        delivered.push_back(tuple->src_port);
+      }
+    }
+  };
+  std::vector<std::uint16_t> delivered_a;
+  std::vector<std::uint16_t> delivered_b;
+  std::thread a(receive, 1, std::move(black_a), std::ref(delivered_a));
+  std::thread b(receive, 2, std::move(black_b), std::ref(delivered_b));
+  a.join();
+  b.join();
+
+  const nnf::IpsecStats stats = responder.stats();
+  std::set<std::uint16_t> unique(delivered_a.begin(), delivered_a.end());
+  unique.insert(delivered_b.begin(), delivered_b.end());
+  EXPECT_EQ(unique.size(), delivered_a.size() + delivered_b.size());
+  EXPECT_EQ(stats.decapsulated, unique.size());
+  EXPECT_EQ(stats.auth_failures, 0u);
+  EXPECT_EQ(stats.decapsulated + stats.replay_drops + stats.auth_failures,
+            2 * kFrames);
+  // Whichever slot came second found the window owned by the other one.
+  EXPECT_GT(stats.cross_slot_frames, 0u);
+  const json::Value doc = responder.describe_stats(nnf::kDefaultContext);
+  EXPECT_EQ(doc.as_object()
+                .find("endpoint")
+                ->as_object()
+                .find("cross_slot_frames")
+                ->as_number(),
+            static_cast<double>(stats.cross_slot_frames));
 }
 
 TEST(ShardedDatapath, RekeyUnderTrafficLosesNothing) {
